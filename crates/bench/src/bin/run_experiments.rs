@@ -3,17 +3,32 @@
 //!
 //! Experiments with machine-readable benchmark emitters (E14, E15,
 //! E16, E17, E18, E19, E20, E21) also write their commit-stamped
-//! `BENCH_*.json` artifact to the repository root.
+//! `BENCH_*.json` artifact to the current directory (run from the
+//! repository root to refresh the committed artifacts).
 //!
 //! Usage: `run_experiments [NAME...]` — with arguments, only the named
 //! experiments run (e.g. `run_experiments E14` regenerates just the
 //! benchmark artifact).
 
+use std::path::Path;
+
 use spinn_bench::experiments as e;
-use spinn_bench::record;
+use spinn_bench::experiments::{
+    e14_event_core as e14, e15_memory_model as e15, e16_sessions as e16, e17_telemetry as e17,
+    e18_collected_win as e18, e19_resilience as e19, e20_scaling as e20, e21_serving as e21,
+};
+use spinn_bench::record::BenchReport;
 
 /// One experiment: its name and table generator.
 type Experiment = (&'static str, fn(bool) -> String);
+
+/// One experiment with a benchmark artifact: its name, measurement and
+/// table formatter.
+type Reported = (
+    &'static str,
+    fn(bool) -> BenchReport,
+    fn(&BenchReport) -> String,
+);
 
 fn main() {
     let quick = !spinn_bench::full_mode();
@@ -45,84 +60,28 @@ fn main() {
         println!("==================================================================");
         println!("{}", f(quick));
     }
-    if wanted("E14") {
-        println!("==================================================================");
-        // E14 runs through its report so the table and the JSON artifact
-        // come from the same measurement.
-        let report = e::e14_event_core::report(quick);
-        println!("{}", e::e14_event_core::format_report(&report));
-        match report.write_to(&record::repo_root()) {
-            Ok(path) => println!("wrote {}", path.display()),
-            Err(err) => eprintln!("failed to write BENCH_e14.json: {err}"),
+    // Experiments with machine-readable emitters print their table and
+    // write the JSON artifact from the same measurement.
+    let reports: [Reported; 8] = [
+        ("E14", e14::report, e14::format_report),
+        ("E15", e15::report, e15::format_report),
+        ("E16", e16::report, e16::format_report),
+        ("E17", e17::report, e17::format_report),
+        ("E18", e18::report, e18::format_report),
+        ("E19", e19::report, e19::format_report),
+        ("E20", e20::report, e20::format_report),
+        ("E21", e21::report, e21::format_report),
+    ];
+    for (name, measure, format) in reports {
+        if !wanted(name) {
+            continue;
         }
-    }
-    if wanted("E15") {
         println!("==================================================================");
-        let report = e::e15_memory_model::report(quick);
-        println!("{}", e::e15_memory_model::format_report(&report));
-        match report.write_to(&record::repo_root()) {
+        let report = measure(quick);
+        println!("{}", format(&report));
+        match report.write_to(Path::new(".")) {
             Ok(path) => println!("wrote {}", path.display()),
-            Err(err) => eprintln!("failed to write BENCH_e15.json: {err}"),
-        }
-    }
-
-    if wanted("E16") {
-        println!("==================================================================");
-        let report = e::e16_sessions::report(quick);
-        println!("{}", e::e16_sessions::format_report(&report));
-        match report.write_to(&record::repo_root()) {
-            Ok(path) => println!("wrote {}", path.display()),
-            Err(err) => eprintln!("failed to write BENCH_e16.json: {err}"),
-        }
-    }
-
-    if wanted("E17") {
-        println!("==================================================================");
-        let report = e::e17_telemetry::report(quick);
-        println!("{}", e::e17_telemetry::format_report(&report));
-        match report.write_to(&record::repo_root()) {
-            Ok(path) => println!("wrote {}", path.display()),
-            Err(err) => eprintln!("failed to write BENCH_e17.json: {err}"),
-        }
-    }
-
-    if wanted("E18") {
-        println!("==================================================================");
-        let report = e::e18_collected_win::report(quick);
-        println!("{}", e::e18_collected_win::format_report(&report));
-        match report.write_to(&record::repo_root()) {
-            Ok(path) => println!("wrote {}", path.display()),
-            Err(err) => eprintln!("failed to write BENCH_e18.json: {err}"),
-        }
-    }
-
-    if wanted("E19") {
-        println!("==================================================================");
-        let report = e::e19_resilience::report(quick);
-        println!("{}", e::e19_resilience::format_report(&report));
-        match report.write_to(&record::repo_root()) {
-            Ok(path) => println!("wrote {}", path.display()),
-            Err(err) => eprintln!("failed to write BENCH_e19.json: {err}"),
-        }
-    }
-
-    if wanted("E20") {
-        println!("==================================================================");
-        let report = e::e20_scaling::report(quick);
-        println!("{}", e::e20_scaling::format_report(&report));
-        match report.write_to(&record::repo_root()) {
-            Ok(path) => println!("wrote {}", path.display()),
-            Err(err) => eprintln!("failed to write BENCH_e20.json: {err}"),
-        }
-    }
-
-    if wanted("E21") {
-        println!("==================================================================");
-        let report = e::e21_serving::report(quick);
-        println!("{}", e::e21_serving::format_report(&report));
-        match report.write_to(&record::repo_root()) {
-            Ok(path) => println!("wrote {}", path.display()),
-            Err(err) => eprintln!("failed to write BENCH_e21.json: {err}"),
+            Err(err) => eprintln!("failed to write the {name} report: {err}"),
         }
     }
 
@@ -131,7 +90,7 @@ fn main() {
     let known: Vec<&str> = runs
         .iter()
         .map(|(n, _)| *n)
-        .chain(["E14", "E15", "E16", "E17", "E18", "E19", "E20", "E21"])
+        .chain(reports.iter().map(|(n, _, _)| *n))
         .collect();
     let unknown: Vec<&String> = filter
         .iter()

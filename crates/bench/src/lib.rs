@@ -10,7 +10,7 @@
 //!
 //! Experiments with performance claims additionally emit
 //! machine-readable, commit-stamped [`record::BenchReport`] JSON
-//! artifacts (`BENCH_*.json` at the repository root) — the measured
+//! artifacts (`BENCH_*.json`, committed at the repository root) — the measured
 //! performance trajectory of the codebase. E14 (the event-core
 //! benchmark) is the first; later experiments append theirs.
 

@@ -2,7 +2,8 @@
 //!
 //! Every experiment that makes a performance claim can emit a
 //! [`BenchReport`] — a commit-stamped JSON document written to the
-//! repository root (`BENCH_<experiment>.json`) — so the performance
+//! current directory (`BENCH_<experiment>.json`; the committed ones
+//! live at the repository root) — so the performance
 //! trajectory of the codebase is a sequence of diffable artifacts
 //! rather than prose in tables. The serializer is hand-rolled: the
 //! build environment is offline, so no serde.
@@ -251,14 +252,16 @@ impl BenchReport {
     }
 }
 
-/// The repository's current commit hash, or `"unknown"` outside git.
+/// The current directory's git commit hash, or `"unknown"` outside
+/// git.
 ///
-/// Resolved against the workspace root (not the process cwd), so the
-/// stamp always names the commit of the measured code.
+/// Resolved against the process's working directory — the same place
+/// `run_experiments` writes its reports — so a report written into a
+/// checkout is stamped with that checkout's commit, whichever tree the
+/// binary was built from.
 pub fn git_commit() -> String {
     Command::new("git")
         .args(["rev-parse", "HEAD"])
-        .current_dir(repo_root())
         .output()
         .ok()
         .filter(|o| o.status.success())
@@ -266,16 +269,6 @@ pub fn git_commit() -> String {
         .map(|s| s.trim().to_string())
         .filter(|s| !s.is_empty())
         .unwrap_or_else(|| "unknown".to_string())
-}
-
-/// The workspace root (where `BENCH_*.json` artifacts live).
-pub fn repo_root() -> std::path::PathBuf {
-    // crates/bench/../.. == the workspace root.
-    Path::new(env!("CARGO_MANIFEST_DIR"))
-        .ancestors()
-        .nth(2)
-        .expect("bench crate lives two levels below the root")
-        .to_path_buf()
 }
 
 #[cfg(test)]
@@ -318,7 +311,14 @@ mod tests {
     }
 
     #[test]
-    fn repo_root_is_a_workspace() {
-        assert!(repo_root().join("Cargo.toml").exists());
+    fn write_to_lands_in_the_given_directory() {
+        let dir = std::env::temp_dir().join(format!("spinn-bench-write-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("scratch dir");
+        let report = BenchReport::new("E99", "output location", true);
+        let path = report.write_to(&dir).expect("report written");
+        assert_eq!(path, dir.join("BENCH_e99.json"));
+        let written = std::fs::read_to_string(&path).expect("report readable");
+        std::fs::remove_dir_all(&dir).expect("scratch dir removed");
+        assert_eq!(written, report.to_json_string());
     }
 }

@@ -99,16 +99,6 @@ impl SimConfig {
         self
     }
 
-    /// Sets the shard over-decomposition factor for parallel runs: `1`
-    /// restores the static one-shard-per-worker split, larger values
-    /// cut more chunks than workers so idle workers steal them (see
-    /// [`MachineConfig::chunk_factor`]). Results are bit-identical for
-    /// every value.
-    pub fn with_chunk_factor(mut self, factor: u8) -> Self {
-        self.machine.chunk_factor = factor;
-        self
-    }
-
     /// Allows the run to cut more shards than the host has cores (see
     /// [`MachineConfig::force_shards`]). Spike output is unchanged
     /// either way; conformance suites use this to exercise the sharded

@@ -58,16 +58,6 @@ pub struct MachineConfig {
     /// the capacity exactly (memory-sensitive sweeps, conformance
     /// replay).
     pub trace_cap: usize,
-    /// Shard over-decomposition factor for parallel runs: a
-    /// `threads`-worker segment is cut into up to `threads ×
-    /// chunk_factor` chip-contiguous task chunks that idle workers
-    /// *steal* through the window engine's claim counters. `1` restores
-    /// the static one-shard-per-worker split; the default `4` keeps
-    /// chunks coarse enough to amortize the split/merge while letting a
-    /// skewed spike distribution spread across the pool mid-window.
-    /// Results are bit-identical for every value (the spike stream is
-    /// shard-count-invariant).
-    pub chunk_factor: u8,
     /// Lets sharded runs cut more shards than the host has cores.
     /// Sharding exists to occupy cores — by default the shard count is
     /// clamped to `available_parallelism`, because extra shards buy no
@@ -105,7 +95,6 @@ impl MachineConfig {
             queue: QueueKind::default(),
             obs: ObsMode::default(),
             trace_cap: 0,
-            chunk_factor: 4,
             force_shards: false,
         }
     }
@@ -126,13 +115,6 @@ impl MachineConfig {
     /// the neuron-scaled auto sizing; see [`MachineConfig::trace_cap`]).
     pub fn with_trace_cap(mut self, records: usize) -> Self {
         self.trace_cap = records;
-        self
-    }
-
-    /// Sets the shard over-decomposition factor for parallel runs (see
-    /// [`MachineConfig::chunk_factor`]; clamped to at least 1 at use).
-    pub fn with_chunk_factor(mut self, factor: u8) -> Self {
-        self.chunk_factor = factor;
         self
     }
 

@@ -135,17 +135,6 @@ pub struct PendingEvent {
 /// `Some(chip)` for chip-local events, `None` for events every shard
 /// replays against its own replica (the coalesced timer, link
 /// failures).
-/// Whether `SPINN_FORCE_SHARDS=1` asks for shard counts beyond the
-/// host's parallelism (checked once per process; see
-/// [`MachineConfig::force_shards`] for the per-machine switch).
-fn force_shards_env() -> bool {
-    static FORCE: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *FORCE.get_or_init(|| {
-        std::env::var("SPINN_FORCE_SHARDS")
-            .is_ok_and(|v| v == "1" || v.eq_ignore_ascii_case("true"))
-    })
-}
-
 fn event_chip(ev: &MachineEvent) -> Option<u32> {
     match ev {
         MachineEvent::Noc(NocEvent::Arrive { node, .. })
@@ -840,15 +829,13 @@ impl NeuralMachine {
     /// the next, so a hot region that no static estimate could predict
     /// stops serializing the shards after the first epoch.
     ///
-    /// Within every window the shard partition is *over-decomposed*
-    /// into `threads ×` [`MachineConfig::chunk_factor`] chip-contiguous
-    /// chunks (capped at the chip count and at 1024 — split/merge cost
-    /// is per chunk), and the worker pool claims chunks off
-    /// `spinn-par`'s shared atomic claim counter: a worker that drew a
-    /// light chunk steals the tail of a hot one instead of idling at
-    /// the barrier. `chunk_factor == 1` restores the static
-    /// one-shard-per-worker split; either way the spike stream is
-    /// bit-identical (`tests/work_stealing_conformance.rs`).
+    /// Each shard stays on one worker thread for the whole segment
+    /// (`spinn-par`'s static ownership rule), just as the machine pins
+    /// a population slice to one core. With
+    /// [`MachineConfig::force_shards`] the cut may hold more shards
+    /// than the host has cores; a worker then owns several. The spike
+    /// stream is bit-identical for every shard count
+    /// (`tests/work_stealing_conformance.rs`).
     pub fn run_parallel(self, ms: u32, threads: usize) -> NeuralMachine {
         /// Epoch length: long enough to amortize the shard split/merge,
         /// short enough that a run settles onto measured weights early.
@@ -892,6 +879,11 @@ impl NeuralMachine {
     /// with a timer tick, and the coalesced 1 ms timer chain (which ends
     /// at `from + ms`) is restarted by the next segment at the same
     /// instant and tie rank it would have fired at in an unbroken run.
+    ///
+    /// With more than one thread after
+    /// [`NeuralMachine::effective_threads`], the segment is cut into
+    /// exactly that many shards, each owned by one `spinn-par` worker
+    /// for the whole segment.
     ///
     /// [`NeuralMachine::run`] is `run_segment(vec![], 0, ms, 1)` with
     /// the leftover events discarded.
@@ -992,17 +984,17 @@ impl NeuralMachine {
         (m, pending_out)
     }
 
-    /// The worker count a run request actually gets: clamped to `[1,
-    /// chips]`, and — unless `force_shards` (config or
-    /// `SPINN_FORCE_SHARDS=1`) asks otherwise — to the host's
-    /// parallelism. Workers exist to occupy cores; a wider pool buys no
-    /// parallelism yet still pays the window/exchange machinery, and
-    /// results are shard-count-invariant, so the collapse is free.
-    /// Public so benchmark rows can record the post-clamp parallelism
-    /// honestly next to the requested one.
+    /// The shard count a run request actually gets: clamped to `[1,
+    /// chips]`, and — unless [`MachineConfig::force_shards`] asks
+    /// otherwise — to the host's parallelism. Shards exist to occupy
+    /// cores; more of them than cores buys no parallelism yet still
+    /// pays the window/exchange machinery, and results are
+    /// shard-count-invariant, so the collapse is free. Public so
+    /// benchmark rows can record the post-clamp parallelism honestly
+    /// next to the requested one.
     pub fn effective_threads(&self, threads: usize) -> usize {
         let threads = threads.clamp(1, self.cfg.chips());
-        if self.cfg.force_shards || force_shards_env() {
+        if self.cfg.force_shards {
             threads
         } else {
             threads.min(std::thread::available_parallelism().map_or(1, |p| p.get()))
@@ -1184,21 +1176,12 @@ impl NeuralMachine {
         ms: u32,
         threads: usize,
     ) -> (NeuralMachine, Vec<PendingEvent>) {
-        let chips = self.cfg.chips();
         debug_assert!(threads >= 2);
         let target = from_ms + ms;
         let lookahead = self.cfg.fabric.min_remote_delay_ns().max(1);
-        // Over-decompose: cut `chunk_factor` times more chip-contiguous
-        // shards than there are workers, so the pool's claim counters
-        // steal chunks mid-window instead of each worker being chained
-        // to one static block. Bounded by the chip count (shards must
-        // be non-empty) and by 1024 (the split/merge cost is per
-        // shard). `chunk_factor == 1` is the static split.
-        let chunks = (threads * self.cfg.chunk_factor.max(1) as usize)
-            .min(chips)
-            .min(1024)
-            .max(threads);
-        let owner = self.event_weighted_owner(chunks);
+        // One shard per requested thread; `spinn-par` maps shards onto
+        // at most as many workers as the host has cores.
+        let owner = self.event_weighted_owner(threads);
         let stimuli = std::mem::take(&mut self.stimuli);
         let faults = std::mem::take(&mut self.fault_plan);
         let repairs = std::mem::take(&mut self.repair_plan);
@@ -1217,7 +1200,7 @@ impl NeuralMachine {
         let dma_free_at = self.dma_free_at.clone();
         let cfg = self.cfg;
         let per = cfg.cores_per_chip as usize;
-        let mut shards: Vec<NeuralMachine> = (0..chunks)
+        let mut shards: Vec<NeuralMachine> = (0..threads)
             .map(|s| {
                 let mut m = NeuralMachine::new(cfg);
                 m.fabric = self.fabric.clone();
@@ -1248,7 +1231,7 @@ impl NeuralMachine {
         let start = Self::segment_start_ns(from_ms);
         let mut par: ParEngine<NeuralMachine, Q> =
             ParEngine::resume_in(shards, SimTime::new(start));
-        for shard in 0..chunks {
+        for shard in 0..threads {
             par.schedule(
                 shard,
                 SimTime::new((from_ms as u64 + 1) * MS),
@@ -1263,7 +1246,7 @@ impl NeuralMachine {
             match event_chip(&p.event) {
                 Some(chip) => par.schedule(owner[chip as usize] as usize, at, p.event),
                 None => {
-                    for shard in 0..chunks {
+                    for shard in 0..threads {
                         par.schedule(shard, at, p.event);
                     }
                 }
@@ -1279,12 +1262,12 @@ impl NeuralMachine {
         // Link failures and repairs mutate every shard's fabric replica:
         // broadcast the schedules so all replicas stay consistent at `t`.
         for (t, chip, dir) in faults {
-            for shard in 0..chunks {
+            for shard in 0..threads {
                 par.schedule(shard, SimTime::new(t), MachineEvent::FailLink { chip, dir });
             }
         }
         for (t, chip, dir) in repairs {
-            for shard in 0..chunks {
+            for shard in 0..threads {
                 par.schedule(
                     shard,
                     SimTime::new(t),
@@ -1292,13 +1275,7 @@ impl NeuralMachine {
                 );
             }
         }
-        // The worker pool stays at the requested thread count: the
-        // extra shards are there to be *stolen*, not to spawn threads.
-        par.run_until_with_workers(
-            SimTime::new(Self::segment_end_ns(target)),
-            lookahead,
-            threads,
-        );
+        par.run_until(SimTime::new(Self::segment_end_ns(target)), lookahead);
         let stats = par.stats().clone();
         let queue_peaks = par.queue_peaks();
 

@@ -4,15 +4,18 @@
 //!
 //! # Scheduling
 //!
-//! Shards and worker threads are decoupled: `run_until` spawns
-//! `min(shards, available_parallelism)` workers, and within every
-//! window phase the workers *claim* shards from a shared atomic counter
-//! (work stealing at shard granularity). A worker that finishes a light
-//! shard immediately claims the next unclaimed one, so a skewed spike
-//! distribution no longer serializes the round behind whichever thread
-//! happened to own the hot shard — and when the host has fewer cores
-//! than the run has shards, the pool degrades to the core count instead
-//! of oversubscribing the machine with yielding threads.
+//! Ownership is static, the way the machine itself pins each
+//! population slice to one core and never migrates it: `run_until`
+//! spawns `min(shards, available_parallelism)` workers, and worker `w`
+//! owns every shard `i` with `i % workers == w` for the whole call. A
+//! worker holds its shards' engines exclusively; the only shared state
+//! is each shard's mailbox and its published next-event time.
+//!
+//! The rule cannot change results. Event timestamps, tie ranks, the
+//! horizon bounds below and the canonical mailbox order all depend on
+//! the shard cut alone — never on which worker runs a shard or how
+//! many workers there are — so a run with more shards than host cores
+//! replays exactly the schedule of one worker per shard.
 //!
 //! # Per-shard horizons
 //!
@@ -106,59 +109,52 @@ struct Envelope<E> {
     event: E,
 }
 
-/// One shard's mutable state, claimed by at most one worker per phase.
-///
-/// The mutex is uncontended by construction (the claim counters hand
-/// each shard index to exactly one worker per phase); it exists to make
-/// the hand-off between different workers across phases sound.
-struct Slot<'a, M: ShardModel, Q: Queue<M::Event>> {
+/// One shard as its owning worker holds it for the length of a
+/// [`ParEngine::run_until`] call.
+struct Owned<'a, M: ShardModel, Q: Queue<M::Event>> {
+    /// Position in the engine's shard list (the mailbox and `next` slot).
+    index: usize,
     engine: &'a mut Engine<M, Q>,
     /// Per-source-shard envelope sequence (canonical tie-break order).
     seq: u64,
-    events: u64,
-    exchanged: u64,
 }
 
 /// A sense-counting spin barrier.
 ///
 /// Windows are typically microseconds long, so a futex-based
 /// [`std::sync::Barrier`] would dominate the run; spinning with a yield
-/// fallback keeps the barrier in the tens-of-nanoseconds range when the
-/// worker count does not exceed the core count. When workers outnumber
-/// cores, spinning only steals the running worker's quantum, so the
-/// barrier yields immediately instead.
+/// fallback keeps the barrier in the tens-of-nanoseconds range. The pool
+/// never has more workers than the host has cores, so a spinning waiter
+/// does not take a core from the worker it waits for.
 struct SpinBarrier {
     n: usize,
-    spin_limit: u32,
     count: AtomicUsize,
     generation: AtomicUsize,
 }
 
 impl SpinBarrier {
+    /// Spins before a waiter falls back to yielding its time slice.
+    const SPIN_LIMIT: u32 = 20_000;
+
     fn new(n: usize) -> Self {
-        let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
         SpinBarrier {
             n,
-            spin_limit: if n <= cores { 20_000 } else { 0 },
             count: AtomicUsize::new(0),
             generation: AtomicUsize::new(0),
         }
     }
 
-    /// Waits for all `n` workers; the last arriver runs `reset` before
-    /// releasing the others (used to rearm the next phase's claim
-    /// counter while every other worker is provably inside the wait).
-    fn wait_then(&self, reset: impl FnOnce()) {
+    /// Waits for all `n` workers.
+    fn wait(&self) {
         let gen = self.generation.load(Ordering::Acquire);
         if self.count.fetch_add(1, Ordering::AcqRel) + 1 == self.n {
             self.count.store(0, Ordering::Relaxed);
-            reset();
             self.generation
                 .store(gen.wrapping_add(1), Ordering::Release);
         } else {
             let mut spins = 0u32;
             while self.generation.load(Ordering::Acquire) == gen {
-                if spins >= self.spin_limit {
+                if spins >= Self::SPIN_LIMIT {
                     std::thread::yield_now();
                 } else {
                     spins += 1;
@@ -170,8 +166,8 @@ impl SpinBarrier {
 }
 
 /// The parallel engine: one [`Engine`] per shard, advanced in lockstep
-/// conservative windows by a pool of worker threads that claim shards
-/// dynamically (see the module docs).
+/// conservative windows by a pool of worker threads that each own a
+/// fixed set of shards (see the module docs).
 ///
 /// # Example
 ///
@@ -312,6 +308,11 @@ where
     /// exactly `deadline` are processed, matching
     /// [`Engine::run_until`]).
     ///
+    /// The pool is `min(shards, host cores)` workers; worker `w` owns
+    /// shards `i` with `i % workers == w` for the whole call (see
+    /// "Scheduling" in the module docs). Results are bit-identical for
+    /// every pool size — the schedule depends only on the shard cut.
+    ///
     /// `lookahead_ns` must be a strict lower bound on the delivery delay
     /// of every cross-shard event: an event handled at time `t` may only
     /// produce remote events at `t + lookahead_ns` or later.
@@ -321,239 +322,87 @@ where
     /// Panics if `lookahead_ns == 0`, or (in debug builds) if a shard
     /// violates the lookahead contract.
     pub fn run_until(&mut self, deadline: SimTime, lookahead_ns: u64) {
-        self.run_until_with_workers(deadline, lookahead_ns, usize::MAX);
-    }
-
-    /// [`ParEngine::run_until`] with an explicit cap on the worker pool.
-    ///
-    /// The pool size is `min(shards, host cores, max_workers)`. This is
-    /// what makes *over-decomposition* useful: cut the model into more
-    /// shards than workers and the claim counters turn each window
-    /// phase into a work-stealing scan — an idle worker picks up the
-    /// next unclaimed shard instead of waiting at the barrier for
-    /// whoever owns the hot region. Results are bit-identical for every
-    /// worker count (the schedule depends only on the shard cut).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lookahead_ns == 0`, or (in debug builds) if a shard
-    /// violates the lookahead contract.
-    pub fn run_until_with_workers(
-        &mut self,
-        deadline: SimTime,
-        lookahead_ns: u64,
-        max_workers: usize,
-    ) {
         assert!(lookahead_ns > 0, "conservative windows need lookahead > 0");
         let n = self.shards.len();
-        let workers = n
-            .min(std::thread::available_parallelism().map_or(1, |p| p.get()))
-            .min(max_workers.max(1));
-        if workers == 1 {
-            // One worker owns every shard: the claim counters, slot
-            // mutexes and barriers would synchronize the worker with
-            // itself. Run the identical schedule without them — same
-            // deliver/run rounds, same horizons, same canonical mailbox
-            // order, so the results are bit-identical to the pool path.
-            self.run_until_solo(deadline.ticks(), lookahead_ns);
-            return;
-        }
+        let workers = n.min(std::thread::available_parallelism().map_or(1, |p| p.get()));
         let barrier = SpinBarrier::new(workers);
         let next: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(IDLE)).collect();
         let mailboxes: Vec<Mutex<Vec<Envelope<M::Event>>>> =
             (0..n).map(|_| Mutex::new(Vec::new())).collect();
-        // Shard-claim counters, one per phase; each is rearmed at the
-        // *other* phase's barrier, when no worker can be claiming from it.
-        let claim_deliver = AtomicUsize::new(0);
-        let claim_run = AtomicUsize::new(usize::MAX);
         let deadline_ns = deadline.ticks();
 
-        let slots: Vec<Mutex<Slot<'_, M, Q>>> = self
-            .shards
-            .iter_mut()
-            .map(|engine| {
-                Mutex::new(Slot {
-                    engine,
-                    seq: 0,
-                    events: 0,
-                    exchanged: 0,
-                })
-            })
-            .collect();
-
-        let mut rounds = 0u64;
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(workers);
-            for w in 0..workers {
-                let barrier = &barrier;
-                let next = &next;
-                let mailboxes = &mailboxes;
-                let slots = &slots;
-                let claim_deliver = &claim_deliver;
-                let claim_run = &claim_run;
-                handles.push(scope.spawn(move || {
-                    worker_loop(
-                        w,
-                        slots,
-                        barrier,
-                        next,
-                        mailboxes,
-                        claim_deliver,
-                        claim_run,
-                        deadline_ns,
-                        lookahead_ns,
-                    )
-                }));
-            }
-            for h in handles {
-                rounds = rounds.max(h.join().expect("shard worker panicked"));
-            }
-        });
-        // Every worker counts the same number of barrier rounds, so add
-        // this call's rounds once (not per worker).
-        self.stats.windows += rounds;
-        for slot in slots {
-            let slot = slot.into_inner().expect("slot poisoned");
-            self.stats.events += slot.events;
-            self.stats.exchanged += slot.exchanged;
+        let mut owned: Vec<Vec<Owned<'_, M, Q>>> = (0..workers).map(|_| Vec::new()).collect();
+        for (index, engine) in self.shards.iter_mut().enumerate() {
+            owned[index % workers].push(Owned {
+                index,
+                engine,
+                seq: 0,
+            });
         }
-    }
 
-    /// Single-worker schedule: the same conservative-window rounds as
-    /// the pool path (deliver, snapshot, run with per-shard horizons),
-    /// executed inline. `BarrierWait` never fires here because a lone
-    /// worker never waits.
-    fn run_until_solo(&mut self, deadline_ns: u64, lookahead_ns: u64) {
-        let n = self.shards.len();
-        let mut mailboxes: Vec<Vec<Envelope<M::Event>>> = (0..n).map(|_| Vec::new()).collect();
-        let mut seq = vec![0u64; n];
-        let mut times = vec![IDLE; n];
-        loop {
-            // Deliver phase.
-            for (i, engine) in self.shards.iter_mut().enumerate() {
-                let mut mail = std::mem::take(&mut mailboxes[i]);
-                if !mail.is_empty() {
-                    mail.sort_by_key(|e| (e.at, e.src, e.seq));
-                    for env in mail {
-                        engine.schedule_at(SimTime::new(env.at), env.event);
-                    }
-                }
-                times[i] = engine.next_event_time().map_or(IDLE, |t| t.ticks());
-            }
-            let min = *times.iter().min().expect("at least one shard");
-            if min == IDLE || min > deadline_ns {
-                return;
-            }
-
-            // Run phase: identical horizon bounds to `worker_loop`.
-            for i in 0..n {
-                let base = times
-                    .iter()
-                    .enumerate()
-                    .filter(|&(j, _)| j != i)
-                    .map(|(_, &t)| t)
-                    .min()
-                    .unwrap_or(IDLE)
-                    .saturating_add(lookahead_ns)
-                    .min(deadline_ns.saturating_add(1));
-                let my_next = times[i];
-                let mut horizon = base.min(my_next.saturating_add(lookahead_ns.saturating_mul(2)));
-                if my_next >= horizon {
-                    continue;
-                }
-                let engine = &mut self.shards[i];
-                let before = engine.processed();
-                let mut staged_min = IDLE;
-                loop {
-                    engine.run_before(SimTime::new(horizon));
-                    for r in engine.model_mut().drain_outbox() {
-                        debug_assert!(
-                            r.at.ticks() >= my_next.saturating_add(lookahead_ns),
-                            "lookahead violation: remote event at {} from window starting {}",
-                            r.at,
-                            my_next
-                        );
-                        debug_assert!(r.dest != i, "shard {i} routed an event to itself");
-                        staged_min = staged_min.min(r.at.ticks());
-                        self.stats.exchanged += 1;
-                        mailboxes[r.dest].push(Envelope {
-                            at: r.at.ticks(),
-                            src: i as u32,
-                            seq: seq[i],
-                            event: r.event,
-                        });
-                        seq[i] += 1;
-                    }
-                    let next_now = engine.next_event_time().map_or(IDLE, |t| t.ticks());
-                    let reply_floor = staged_min
-                        .min(next_now.saturating_add(lookahead_ns))
-                        .saturating_add(lookahead_ns);
-                    let extended = base.min(reply_floor);
-                    if extended <= horizon || next_now >= extended {
-                        break;
-                    }
-                    horizon = extended;
-                }
-                self.stats.events += engine.processed() - before;
-            }
-            self.stats.windows += 1;
+        let per_worker: Vec<ParStats> = std::thread::scope(|scope| {
+            let handles: Vec<_> = owned
+                .into_iter()
+                .map(|shards| {
+                    let (barrier, next, mailboxes) = (&barrier, &next, &mailboxes);
+                    scope.spawn(move || {
+                        worker_loop(shards, barrier, next, mailboxes, deadline_ns, lookahead_ns)
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("shard worker panicked"))
+                .collect()
+        });
+        // Every worker counts the same barrier rounds, so add this
+        // call's rounds once (not per worker).
+        self.stats.windows += per_worker.iter().map(|s| s.windows).max().unwrap_or(0);
+        for s in &per_worker {
+            self.stats.events += s.events;
+            self.stats.exchanged += s.exchanged;
         }
     }
 }
 
-/// One pool worker: claims shards phase by phase until the run drains.
-///
-/// Returns the number of barrier rounds it observed (identical across
-/// workers — they exit the loop together).
-#[allow(clippy::too_many_arguments)]
+/// One pool worker: advances its owned shards phase by phase until the
+/// run drains, returning its share of the run's counters (`windows` is
+/// identical across workers — they exit the loop together).
 fn worker_loop<M: ShardModel, Q: Queue<M::Event>>(
-    w: usize,
-    slots: &[Mutex<Slot<'_, M, Q>>],
+    mut shards: Vec<Owned<'_, M, Q>>,
     barrier: &SpinBarrier,
     next: &[AtomicU64],
     mailboxes: &[Mutex<Vec<Envelope<M::Event>>>],
-    claim_deliver: &AtomicUsize,
-    claim_run: &AtomicUsize,
     deadline_ns: u64,
     lookahead_ns: u64,
-) -> u64 {
-    let n = slots.len();
-    let mut rounds = 0u64;
-    // Barrier waits are where shard imbalance shows up: a worker that
-    // runs out of claimable shards early burns the difference here.
-    // Time both waits into this worker's home-shard probe (inert unless
-    // telemetry is on; `w < n` because the pool is clamped to the shard
-    // count).
-    let probe = slots[w]
-        .lock()
-        .expect("slot poisoned")
-        .engine
-        .probe()
-        .clone();
-    let mut times: Vec<u64> = vec![IDLE; n];
+) -> ParStats {
+    let mut stats = ParStats::default();
+    // Barrier waits are where shard imbalance shows up: a worker whose
+    // shards finish early burns the difference here. Time both waits
+    // into this worker's first shard's probe (inert unless telemetry is
+    // on; every worker owns at least one shard because the pool is
+    // clamped to the shard count).
+    let probe = shards[0].engine.probe().clone();
+    let mut times: Vec<u64> = vec![IDLE; next.len()];
     loop {
-        // Deliver phase: drain each shard's mailbox in canonical order
-        // and publish its earliest pending timestamp.
-        loop {
-            let i = claim_deliver.fetch_add(1, Ordering::AcqRel);
-            if i >= n {
-                break;
-            }
-            let slot = &mut *slots[i].lock().expect("slot poisoned");
-            let mut mail = std::mem::take(&mut *mailboxes[i].lock().expect("mailbox poisoned"));
+        // Deliver phase: drain each owned shard's mailbox in canonical
+        // order and publish its earliest pending timestamp.
+        for shard in &mut shards {
+            let mut mail =
+                std::mem::take(&mut *mailboxes[shard.index].lock().expect("mailbox poisoned"));
             if !mail.is_empty() {
                 mail.sort_by_key(|e| (e.at, e.src, e.seq));
                 for env in mail {
-                    slot.engine.schedule_at(SimTime::new(env.at), env.event);
+                    shard.engine.schedule_at(SimTime::new(env.at), env.event);
                 }
             }
-            next[i].store(
-                slot.engine.next_event_time().map_or(IDLE, |t| t.ticks()),
+            next[shard.index].store(
+                shard.engine.next_event_time().map_or(IDLE, |t| t.ticks()),
                 Ordering::Release,
             );
         }
         let tok = probe.start();
-        barrier.wait_then(|| claim_run.store(0, Ordering::Relaxed));
+        barrier.wait();
         probe.record(Phase::BarrierWait, tok);
 
         // All publishes happened before the barrier, so every worker
@@ -567,17 +416,14 @@ fn worker_loop<M: ShardModel, Q: Queue<M::Event>>(
             // are empty, because delivery happens before the minimum is
             // recomputed. Every worker sees the same minimum and exits
             // together.
-            return rounds;
+            return stats;
         }
 
-        // Run phase: advance each claimed shard through its window (see
+        // Run phase: advance each owned shard through its window (see
         // "Per-shard horizons" in the module docs for the safety
         // argument behind the two horizon bounds).
-        loop {
-            let i = claim_run.fetch_add(1, Ordering::AcqRel);
-            if i >= n {
-                break;
-            }
+        for shard in &mut shards {
+            let i = shard.index;
             // Bound 1: everything already pending at other shards.
             let base = times
                 .iter()
@@ -598,14 +444,14 @@ fn worker_loop<M: ShardModel, Q: Queue<M::Event>>(
                 // engine entirely (its clock catches up lazily).
                 continue;
             }
-            let slot = &mut *slots[i].lock().expect("slot poisoned");
-            let before = slot.engine.processed();
+            let engine = &mut *shard.engine;
+            let before = engine.processed();
             // Earliest arrival staged by this shard this round; replies
             // to it land at >= this + lookahead.
             let mut staged_min = IDLE;
             loop {
-                slot.engine.run_before(SimTime::new(horizon));
-                for r in slot.engine.model_mut().drain_outbox() {
+                engine.run_before(SimTime::new(horizon));
+                for r in engine.model_mut().drain_outbox() {
                     debug_assert!(
                         r.at.ticks() >= my_next.saturating_add(lookahead_ns),
                         "lookahead violation: remote event at {} from window starting {}",
@@ -614,14 +460,14 @@ fn worker_loop<M: ShardModel, Q: Queue<M::Event>>(
                     );
                     debug_assert!(r.dest != i, "shard {i} routed an event to itself");
                     staged_min = staged_min.min(r.at.ticks());
-                    slot.exchanged += 1;
+                    stats.exchanged += 1;
                     let env = Envelope {
                         at: r.at.ticks(),
                         src: i as u32,
-                        seq: slot.seq,
+                        seq: shard.seq,
                         event: r.event,
                     };
-                    slot.seq += 1;
+                    shard.seq += 1;
                     mailboxes[r.dest]
                         .lock()
                         .expect("mailbox poisoned")
@@ -630,7 +476,7 @@ fn worker_loop<M: ShardModel, Q: Queue<M::Event>>(
                 // Try to extend: bound 2 relaxes to the earliest staged
                 // arrival (or, if nothing is staged yet, to replies
                 // provoked by whatever the extension itself might emit).
-                let next_now = slot.engine.next_event_time().map_or(IDLE, |t| t.ticks());
+                let next_now = engine.next_event_time().map_or(IDLE, |t| t.ticks());
                 let reply_floor = staged_min
                     .min(next_now.saturating_add(lookahead_ns))
                     .saturating_add(lookahead_ns);
@@ -640,12 +486,12 @@ fn worker_loop<M: ShardModel, Q: Queue<M::Event>>(
                 }
                 horizon = extended;
             }
-            slot.events += slot.engine.processed() - before;
+            stats.events += engine.processed() - before;
         }
         let tok = probe.start();
-        barrier.wait_then(|| claim_deliver.store(0, Ordering::Relaxed));
+        barrier.wait();
         probe.record(Phase::BarrierWait, tok);
-        rounds += 1;
+        stats.windows += 1;
     }
 }
 
@@ -749,22 +595,22 @@ mod tests {
     }
 
     #[test]
-    fn worker_cap_is_result_invariant() {
-        // Over-decomposed runs (more shards than workers) must replay
-        // the exact same schedule whatever the pool size.
-        let run = |cap: usize| {
-            let mut par = ring(4);
+    fn shard_count_is_result_invariant() {
+        // More shards than host cores puts several shards on one
+        // worker; the event times must not depend on the cut.
+        let run = |shards: usize| {
+            let mut par = ring(shards);
             par.schedule(0, SimTime::ZERO, 12);
-            par.run_until_with_workers(SimTime::new(10_000), 50, cap);
+            par.run_until(SimTime::new(10_000), 50);
             let models = par.into_models();
             let mut times: Vec<u64> = models.iter().flat_map(|m| m.handled.clone()).collect();
             times.sort_unstable();
             times
         };
-        let baseline = run(usize::MAX);
+        let baseline = run(1);
         assert_eq!(baseline.len(), 13);
-        for cap in [1, 2, 3] {
-            assert_eq!(run(cap), baseline, "cap {cap} diverged");
+        for shards in [2, 3, 4, 7] {
+            assert_eq!(run(shards), baseline, "{shards} shards diverged");
         }
     }
 

@@ -12,7 +12,9 @@
 //! discrete-event simulation of the machine itself:
 //!
 //! 1. The simulated chips are partitioned into **shards**, one
-//!    [`spinn_sim::Engine`] and one worker thread per shard.
+//!    [`spinn_sim::Engine`] per shard, each owned by one worker thread
+//!    for the whole run (a worker owns several shards when the run has
+//!    more shards than host cores).
 //! 2. All shards advance in lockstep **conservative windows**. At each
 //!    barrier the workers agree on the global minimum pending timestamp
 //!    `m`; every shard may then safely simulate all events in

@@ -1,11 +1,13 @@
-//! Work-stealing window conformance: shard over-decomposition
-//! (`chunk_factor`) cuts a parallel segment into more chunks than
-//! workers so idle workers steal them — and must be completely
-//! invisible in results. Every test here pins that invariant three
-//! ways: against the committed golden traces, across a mid-run
-//! checkpoint/restore that changes the chunking on resume, and on
-//! randomized nets against the serial engine. A final group covers the
-//! compressed lazy synaptic arena riding the same snapshots.
+//! Shard-ownership conformance: a parallel segment is cut into one
+//! shard per requested thread, and the worker pool (at most one worker
+//! per host core) owns those shards statically — several per worker
+//! when forced shards outnumber the cores. Neither the shard count nor
+//! the shard-to-worker mapping may show in results. Every test here
+//! pins that invariant three ways: against the committed golden
+//! traces, across a mid-run checkpoint/restore that changes the thread
+//! count and queue kind on resume, and on randomized nets against the
+//! serial engine. A final group covers the compressed lazy synaptic
+//! arena riding the same snapshots.
 
 use proptest::prelude::*;
 
@@ -46,14 +48,13 @@ fn synfire_net() -> NetworkGraph {
     net
 }
 
-fn synfire_cfg(queue: QueueKind, threads: u32, chunk_factor: u8) -> SimConfig {
+fn synfire_cfg(queue: QueueKind, threads: u32) -> SimConfig {
     SimConfig::new(4, 4)
         .with_force_shards(true)
         .with_neurons_per_core(64)
         .with_placer(Placer::Random { seed: 0x60_1D })
         .with_queue(queue)
         .with_threads(threads)
-        .with_chunk_factor(chunk_factor)
 }
 
 fn golden(name: &str) -> Vec<SpikeRecord> {
@@ -74,69 +75,56 @@ fn golden(name: &str) -> Vec<SpikeRecord> {
         .collect()
 }
 
-/// Chunked execution replays the committed golden trace exactly, for
-/// every queue kind, forced shard count and chunk factor — including
-/// `chunk_factor` well above the worker count (everything extra exists
-/// only to be stolen).
+/// Sharded execution replays the committed golden trace exactly, for
+/// every queue kind and forced shard count — including shard counts
+/// well above the host's cores, where each worker owns several shards.
 #[test]
-fn golden_synfire_bit_identical_across_chunk_factors() {
+fn golden_synfire_bit_identical_across_forced_shards() {
     let net = synfire_net();
     let golden = golden("synfire");
     for queue in [QueueKind::Heap, QueueKind::Calendar] {
         for threads in [1u32, 4, 16] {
-            for chunk_factor in [1u8, 4] {
-                let done = Simulation::build(&net, synfire_cfg(queue, threads, chunk_factor))
-                    .expect("synfire fits a 4x4 machine")
-                    .run(RUN_MS);
-                assert_eq!(
-                    done.machine.spikes(),
-                    golden.as_slice(),
-                    "synfire diverges from golden ({queue} queue, {threads} thread(s), \
-                     chunk_factor {chunk_factor})"
-                );
-            }
+            let done = Simulation::build(&net, synfire_cfg(queue, threads))
+                .expect("synfire fits a 4x4 machine")
+                .run(RUN_MS);
+            assert_eq!(
+                done.machine.spikes(),
+                golden.as_slice(),
+                "synfire diverges from golden ({queue} queue, {threads} thread(s))"
+            );
         }
     }
 }
 
-/// A checkpoint taken under chunked stealing restores onto a machine
-/// with *different* chunking (and queue, and thread count) and still
-/// finishes on the golden trace. Splits are deliberately not multiples
-/// of the 5 ms rebalance epoch, so the cut lands mid-stride between
-/// repartitions.
+/// A checkpoint taken under one chunking of the mesh into shards
+/// restores onto a machine with a *different* thread count (so a
+/// different shard cut) and queue kind and still finishes on the
+/// golden trace. Splits are deliberately not multiples of the 5 ms
+/// rebalance epoch, so the cut lands mid-stride between repartitions.
 #[test]
 fn checkpoint_restore_swaps_chunking_bit_exactly() {
     let net = synfire_net();
     let golden = golden("synfire");
-    for (split, queue_a, threads_a, chunks_a, queue_b, threads_b, chunks_b) in [
-        (
-            73u32,
-            QueueKind::Calendar,
-            4u32,
-            4u8,
-            QueueKind::Heap,
-            16u32,
-            1u8,
-        ),
-        (111, QueueKind::Heap, 16, 1, QueueKind::Calendar, 4, 6),
-        (37, QueueKind::Calendar, 4, 2, QueueKind::Calendar, 1, 4),
+    for (split, queue_a, threads_a, queue_b, threads_b) in [
+        (73u32, QueueKind::Calendar, 4u32, QueueKind::Heap, 16u32),
+        (111, QueueKind::Heap, 16, QueueKind::Calendar, 4),
+        (37, QueueKind::Calendar, 4, QueueKind::Calendar, 1),
     ] {
-        let mut session = Simulation::build(&net, synfire_cfg(queue_a, threads_a, chunks_a))
+        let mut session = Simulation::build(&net, synfire_cfg(queue_a, threads_a))
             .expect("synfire fits a 4x4 machine")
             .into_session();
         session.run_for(split);
         let snap = session.checkpoint();
         drop(session);
-        let mut resumed =
-            RunSession::restore(&net, synfire_cfg(queue_b, threads_b, chunks_b), &snap)
-                .expect("snapshot restores onto a fresh build");
+        let mut resumed = RunSession::restore(&net, synfire_cfg(queue_b, threads_b), &snap)
+            .expect("snapshot restores onto a fresh build");
         assert_eq!(resumed.elapsed_ms(), split);
         resumed.run_for(RUN_MS - split);
         assert_eq!(
             resumed.machine().spikes(),
             golden.as_slice(),
-            "split at {split} ms swapping chunk_factor {chunks_a} -> {chunks_b} \
-             ({queue_a}/{threads_a}T -> {queue_b}/{threads_b}T) diverges from golden"
+            "split at {split} ms ({queue_a}/{threads_a}T -> {queue_b}/{threads_b}T) \
+             diverges from golden"
         );
     }
 }
@@ -174,13 +162,12 @@ fn lazy_ring_net() -> NetworkGraph {
     net
 }
 
-fn lazy_cfg(queue: QueueKind, threads: u32, chunk_factor: u8) -> SimConfig {
+fn lazy_cfg(queue: QueueKind, threads: u32) -> SimConfig {
     SimConfig::new(4, 4)
         .with_force_shards(true)
         .with_neurons_per_core(32)
         .with_queue(queue)
         .with_threads(threads)
-        .with_chunk_factor(chunk_factor)
 }
 
 /// Checkpoint a lazily loaded machine mid-run — after spikes have
@@ -191,21 +178,21 @@ fn lazy_cfg(queue: QueueKind, threads: u32, chunk_factor: u8) -> SimConfig {
 #[test]
 fn lazy_arena_snapshot_roundtrip_mid_materialization() {
     let net = lazy_ring_net();
-    let whole = Simulation::build(&net, lazy_cfg(QueueKind::Calendar, 1, 1))
+    let whole = Simulation::build(&net, lazy_cfg(QueueKind::Calendar, 1))
         .expect("ring fits a 4x4 machine")
         .run(RUN_MS);
     let reference = whole.machine.spikes().to_vec();
     assert!(reference.len() > 50, "workload must actually spike");
     let total_rows = {
         // All rows start lazy: constant all-to-all is analytic.
-        let sim = Simulation::build(&net, lazy_cfg(QueueKind::Calendar, 1, 1)).expect("fits");
+        let sim = Simulation::build(&net, lazy_cfg(QueueKind::Calendar, 1)).expect("fits");
         let lazy = sim.machine().total_lazy_rows();
         assert!(lazy > 0, "the ring net must load as a lazy arena");
         lazy
     };
 
-    for (split, threads_b, chunks_b) in [(41u32, 4u32, 4u8), (97, 16, 1)] {
-        let mut session = Simulation::build(&net, lazy_cfg(QueueKind::Calendar, 4, 4))
+    for (split, threads_b) in [(41u32, 4u32), (97, 16)] {
+        let mut session = Simulation::build(&net, lazy_cfg(QueueKind::Calendar, 4))
             .expect("ring fits a 4x4 machine")
             .into_session();
         session.run_for(split);
@@ -220,9 +207,8 @@ fn lazy_arena_snapshot_roundtrip_mid_materialization() {
         );
         let snap = session.checkpoint();
         drop(session);
-        let mut resumed =
-            RunSession::restore(&net, lazy_cfg(QueueKind::Heap, threads_b, chunks_b), &snap)
-                .expect("snapshot restores onto a fresh lazy build");
+        let mut resumed = RunSession::restore(&net, lazy_cfg(QueueKind::Heap, threads_b), &snap)
+            .expect("snapshot restores onto a fresh lazy build");
         assert!(
             resumed.machine().total_lazy_rows() > 0,
             "restore must revive recipes, not force-materialize the arena"
@@ -237,7 +223,7 @@ fn lazy_arena_snapshot_roundtrip_mid_materialization() {
 }
 
 // ---------------------------------------------------------------------
-// Randomized equivalence: chunking is invisible on arbitrary nets.
+// Randomized equivalence: sharding is invisible on arbitrary nets.
 
 fn arb_chain_net() -> impl Strategy<Value = NetworkGraph> {
     (2u32..5, 48u32..128, 4u32..10, 0u64..1000).prop_map(|(pops, size, fan, seed)| {
@@ -268,14 +254,13 @@ fn arb_chain_net() -> impl Strategy<Value = NetworkGraph> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// For random chain nets and random (queue, threads, chunk_factor),
-    /// the chunked forced-shard run is bit-identical to the serial
+    /// For random chain nets and random (queue, threads), the run
+    /// chunked into forced shards is bit-identical to the serial
     /// engine's spike stream.
     #[test]
     fn chunked_execution_matches_serial(
         net in arb_chain_net(),
         threads in 2u32..9,
-        chunk_factor in 1u8..7,
         calendar in any::<bool>(),
     ) {
         let queue = if calendar { QueueKind::Calendar } else { QueueKind::Heap };
@@ -283,19 +268,17 @@ proptest! {
             .with_neurons_per_core(64)
             .with_queue(queue);
         let serial = Simulation::build(&net, serial_cfg).expect("fits").run(80);
-        let chunked_cfg = SimConfig::new(4, 4)
+        let sharded_cfg = SimConfig::new(4, 4)
             .with_neurons_per_core(64)
             .with_queue(queue)
             .with_force_shards(true)
-            .with_threads(threads)
-            .with_chunk_factor(chunk_factor);
-        let chunked = Simulation::build(&net, chunked_cfg).expect("fits").run(80);
+            .with_threads(threads);
+        let sharded = Simulation::build(&net, sharded_cfg).expect("fits").run(80);
         prop_assert_eq!(
-            chunked.machine.spikes(),
+            sharded.machine.spikes(),
             serial.machine.spikes(),
-            "threads {} chunk_factor {} diverged",
-            threads,
-            chunk_factor
+            "threads {} diverged",
+            threads
         );
     }
 }
