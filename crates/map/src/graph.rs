@@ -1,5 +1,6 @@
 //! The abstract neural network: populations, projections, connectors.
 
+use spinn_neuron::gen::GapSampler;
 use spinn_neuron::izhikevich::IzhikevichParams;
 use spinn_neuron::lif::LifParams;
 use spinn_sim::Xoshiro256;
@@ -163,16 +164,9 @@ impl Projection {
                 d: 0,
                 skip_self: false,
             },
-            Connector::FixedProbability(p) => IterState::Bernoulli {
-                rng,
-                p,
-                cursor: 0,
-                total: if p > 0.0 {
-                    n_src as u64 * n_dst as u64
-                } else {
-                    0
-                },
-            },
+            Connector::FixedProbability(p) => {
+                IterState::Bernoulli(GapSampler::new(rng, p, n_src, n_dst, 0))
+            }
             Connector::FixedFanOut(k) => {
                 let k = k.min(n_dst);
                 IterState::FanOut {
@@ -226,14 +220,7 @@ enum IterState {
     /// geometric gaps between successes over the flattened `(s, d)`
     /// index space — `O(edges)` draws instead of `O(n_src * n_dst)`
     /// Bernoulli trials.
-    Bernoulli {
-        rng: Xoshiro256,
-        p: f64,
-        /// Next candidate flattened index.
-        cursor: u64,
-        /// One past the last flattened index (0 when exhausted).
-        total: u64,
-    },
+    Bernoulli(GapSampler),
     /// Per source: a fresh shuffle of the target permutation, then the
     /// first `k` entries. `next_s` is the next source to deal; `j`
     /// indexes the current source's deal (`j == k` means no current
@@ -250,6 +237,7 @@ enum IterState {
 impl Iterator for ConnectorIter {
     type Item = (u32, u32);
 
+    #[inline]
     fn next(&mut self) -> Option<(u32, u32)> {
         match &mut self.state {
             IterState::OneToOne { i, n } => {
@@ -275,35 +263,7 @@ impl Iterator for ConnectorIter {
                     return Some(pair);
                 }
             },
-            IterState::Bernoulli {
-                rng,
-                p,
-                cursor,
-                total,
-            } => {
-                if *cursor >= *total {
-                    return None;
-                }
-                // Geometric inter-success gap: the run length of a
-                // Bernoulli(p) process, sampled in one draw. `ln_1p`
-                // keeps the denominator finite and non-zero for tiny
-                // `p` (where `(1.0 - p).ln()` rounds to 0 and would
-                // invert the probability to 1), and the float→int cast
-                // saturates, so sub-2e-18 probabilities overshoot
-                // `total` and terminate rather than overflow.
-                let u = rng.next_f64();
-                let skip = ((1.0 - u).ln() / (-*p).ln_1p()).floor() as u64;
-                let idx = cursor.checked_add(skip).unwrap_or(u64::MAX);
-                if idx >= *total {
-                    *cursor = *total;
-                    return None;
-                }
-                *cursor = idx + 1;
-                Some((
-                    (idx / self.n_dst as u64) as u32,
-                    (idx % self.n_dst as u64) as u32,
-                ))
-            }
+            IterState::Bernoulli(gaps) => gaps.next(),
             IterState::FanOut {
                 rng,
                 targets,
@@ -354,9 +314,7 @@ impl Iterator for ConnectorIter {
                     (to_usize(left), Some(to_usize(left)))
                 }
             }
-            IterState::Bernoulli { cursor, total, .. } => {
-                (0, Some(to_usize(total.saturating_sub(*cursor))))
-            }
+            IterState::Bernoulli(gaps) => gaps.size_hint(),
             IterState::FanOut { k, next_s, j, .. } => {
                 if *k == 0 {
                     return (0, Some(0));

@@ -2,14 +2,15 @@
 //! "connectivity data constructed" step of §5.3, producing the SDRAM
 //! images the DMA engine fetches at run time.
 //!
-//! The build is a **streaming pipeline**: each projection is expanded
-//! through [`Projection::iter`](crate::graph::Projection::iter) one
-//! pair at a time and scattered straight into the destination cores'
-//! [`SynapticMatrixBuilder`]s; no global edge list is ever
-//! materialized, and the finished per-core state is one contiguous
-//! master-population-table + arena
-//! ([`spinn_neuron::synmatrix::SynapticMatrix`]) per core — the §5.2/§6
-//! memory model.
+//! The build is a **streaming pipeline** that moves each synapse once:
+//! each projection is expanded through
+//! [`Projection::iter`](crate::graph::Projection::iter) one pair at a
+//! time, and since pairs ascend by source, every word appends to its
+//! destination core's [`RowRun`] already in row order. Each core's
+//! [`SynapticMatrixBuilder`] then copies whole rows from its runs into
+//! one contiguous master-population-table + arena
+//! ([`spinn_neuron::synmatrix::SynapticMatrix`]) — the §5.2/§6 memory
+//! model. No global edge list and no per-synapse staging exist.
 //!
 //! Two levers make a full SpiNNaker-scale build (2^16 chips, 10^8+
 //! synapses) fit host RAM and wall-clock ([`BuildOptions`]):
@@ -22,19 +23,19 @@
 //!   synapses skip the expansion stream entirely (row lengths are
 //!   analytic), so build time drops from `O(synapses)` to `O(rows)`.
 //! * **Parallel expansion** — projections are independent until their
-//!   words meet a destination core's builder, so worker threads expand
-//!   them concurrently and the results merge *in projection order*,
-//!   which reproduces the serial build's push order bit-for-bit.
+//!   runs meet a destination core's builder, so worker threads expand
+//!   them concurrently and the runs are added *in projection order*,
+//!   which fixes every row's word order whatever the thread count.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
-use spinn_neuron::gen::{GenConnector, GenSpec, GenState};
+use spinn_neuron::gen::{GapSampler, GenConnector, GenSpec, GenState};
 use spinn_neuron::izhikevich::IzhikevichNeuron;
 use spinn_neuron::lif::LifNeuron;
 use spinn_neuron::model::AnyNeuron;
 use spinn_neuron::synapse::SynapticWord;
-use spinn_neuron::synmatrix::{SynapticMatrix, SynapticMatrixBuilder};
+use spinn_neuron::synmatrix::{RowRun, SynapticMatrix, SynapticMatrixBuilder};
 use spinn_noc::mesh::NodeCoord;
 use spinn_sim::Xoshiro256;
 
@@ -173,27 +174,37 @@ impl LoadedApp {
         // particular neuron connects there — as on hardware, each
         // destination core's master population table covers the
         // *whole* source key block (missing synapses are empty
-        // rows, not misses). Declare those blocks up front and
-        // remember each (src slice, dst slice) block's first row.
+        // rows, not misses). Declare those blocks up front. A source
+        // population's blocks are declared together, in neuron order,
+        // the first time it reaches a core, so on every destination
+        // core source neuron `s` owns row `first_row[dp] + s`.
         let plans: Vec<ProjPlan> = net
             .projections()
             .iter()
             .map(|proj| {
                 let src_idxs = placement.slice_indices_of(proj.src);
                 let dst_idxs = placement.slice_indices_of(proj.dst);
-                let mut first_rows = vec![vec![0u32; dst_idxs.len()]; src_idxs.len()];
+                let mut first_row = vec![0u32; dst_idxs.len()];
                 for (sp, &si) in src_idxs.iter().enumerate() {
                     let src = &slices[si];
                     for (dp, &di) in dst_idxs.iter().enumerate() {
-                        first_rows[sp][dp] = builders[di].block(
+                        let row = builders[di].block(
                             core_base_key(src.global_core),
                             CORE_MASK,
                             src.len(),
                         );
+                        if sp == 0 {
+                            first_row[dp] = row;
+                        }
+                        assert_eq!(
+                            row,
+                            first_row[dp] + src.lo,
+                            "a population's blocks must be contiguous on every core"
+                        );
                     }
                 }
                 ProjPlan {
-                    first_rows,
+                    first_row,
                     src_idxs: src_idxs.to_vec(),
                     dst_idxs: dst_idxs.to_vec(),
                     lazy: lazy_pop[proj.dst.index()] && gen_connector(proj).is_some(),
@@ -201,9 +212,10 @@ impl LoadedApp {
             })
             .collect();
 
-        // Phase 2 (parallel): expand projections into staged outputs.
-        // Projections are independent until their words reach a
-        // destination builder, so this is a plain work queue.
+        // Phase 2 (parallel): expand each projection into one run of
+        // words per destination core (or a lazy recipe). Projections
+        // are independent until their runs reach a destination builder,
+        // so this is a plain work queue.
         let n_proj = plans.len();
         let workers = opts.threads.clamp(1, n_proj.max(1));
         let slots: Vec<OnceLock<ProjOutput>> = (0..n_proj).map(|_| OnceLock::new()).collect();
@@ -227,24 +239,24 @@ impl LoadedApp {
             });
         }
 
-        // Phase 3 (serial, projection order): merge staged outputs into
-        // the builders. Replaying in projection order reproduces the
-        // serial build's per-row push order exactly.
+        // Phase 3 (serial, projection order): hand the outputs to the
+        // builders. Adding runs in projection order fixes each row's
+        // word order whatever the thread count.
         for (i, slot) in slots.into_iter().enumerate() {
             let out = slot.into_inner().expect("projection expanded");
             let proj = &net.projections()[i];
             let plan = &plans[i];
             match out {
-                ProjOutput::Eager(pushes) => {
-                    for (di, row, word) in pushes {
-                        builders[di as usize].push(row, word);
+                ProjOutput::Eager(runs) => {
+                    for (&di, run) in plan.dst_idxs.iter().zip(runs) {
+                        builders[di].add_run(run);
                     }
                 }
                 ProjOutput::Lazy { states, lens } => {
                     let conn = gen_connector(proj).expect("lazy plan implies replayable");
                     let n_src = net.pop(proj.src).size;
                     let n_dst = net.pop(proj.dst).size;
-                    for (sp, &si) in plan.src_idxs.iter().enumerate() {
+                    for &si in &plan.src_idxs {
                         let src = &slices[si];
                         for (dp, &di) in plan.dst_idxs.iter().enumerate() {
                             let dst = &slices[di];
@@ -256,7 +268,7 @@ impl LoadedApp {
                                 dst_lo: dst.lo,
                                 dst_hi: dst.hi,
                             };
-                            let first_row = plan.first_rows[sp][dp];
+                            let first_row = plan.first_row[dp] + src.lo;
                             let needs = spec.needs_state();
                             let lens_dp = lens.as_ref().map(|l| &l[dp]);
                             let c = builders[di].lazy_contribution(
@@ -282,7 +294,8 @@ impl LoadedApp {
             }
         }
 
-        // Phase 4 (parallel): pack the arenas and build the images.
+        // Phase 4 (parallel): place each core's runs into its arena and
+        // build the images.
         let images = if workers <= 1 || slices.len() < 2 {
             slices
                 .iter()
@@ -334,12 +347,12 @@ impl LoadedApp {
 }
 
 /// Per-projection build geometry captured during the serial block
-/// declaration (phase 1): block first rows plus the projection's source
-/// and destination slice index lists.
+/// declaration (phase 1): each destination core's first row plus the
+/// projection's source and destination slice index lists.
 struct ProjPlan {
-    /// `first_rows[sp][dp]`: first row of the (src slice, dst slice)
-    /// block in the destination core's builder.
-    first_rows: Vec<Vec<u32>>,
+    /// `first_row[dp]`: the row of source neuron 0 in destination slice
+    /// `dp`'s builder (source `s` owns row `first_row[dp] + s`).
+    first_row: Vec<u32>,
     src_idxs: Vec<usize>,
     dst_idxs: Vec<usize>,
     /// Whether this projection merges as a lazy recipe (replayable
@@ -348,12 +361,12 @@ struct ProjPlan {
     lazy: bool,
 }
 
-/// What one projection's (possibly parallel) expansion stages for the
+/// What one projection's (possibly parallel) expansion hands to the
 /// serial merge.
 enum ProjOutput {
-    /// Fully expanded words: `(dst slice index, row, word)` in the exact
-    /// order the serial streaming build would have pushed them.
-    Eager(Vec<(u32, u32, SynapticWord)>),
+    /// Fully expanded words: one row-ascending run per destination
+    /// slice, in `ProjPlan::dst_idxs` order.
+    Eager(Vec<RowRun>),
     /// Lazy recipe inputs: per-source RNG stream positions (empty when
     /// the spec is analytic) and, for Bernoulli, the counted row lengths
     /// per `[dst slice][source]` (`None` when lengths are analytic).
@@ -382,9 +395,8 @@ fn gen_connector(proj: &Projection) -> Option<GenConnector> {
     }
 }
 
-/// Expands one projection into its staged [`ProjOutput`] — the
-/// thread-safe part of the build (reads the graph and placement, writes
-/// nothing shared).
+/// Expands one projection into its [`ProjOutput`] — the thread-safe part
+/// of the build (reads the graph and placement, writes nothing shared).
 fn expand_projection(
     net: &NetworkGraph,
     proj: &Projection,
@@ -394,27 +406,27 @@ fn expand_projection(
     let n_src = net.pop(proj.src).size;
     let n_dst = net.pop(proj.dst).size;
     if !plan.lazy {
-        // Eager: the original streaming expansion, staged instead of
-        // pushed (pairs ascend by source; the source slice advances
-        // monotonically, the destination slice is binary-searched).
-        let mut pushes = Vec::new();
+        // Eager: pairs ascend by source, so each destination core's
+        // words arrive in row order and append straight to its run.
+        let dst_lo: Vec<u32> = plan.dst_idxs.iter().map(|&i| slices[i].lo).collect();
+        let dst_hi: Vec<u32> = plan.dst_idxs.iter().map(|&i| slices[i].hi).collect();
+        let mut runs: Vec<RowRun> = plan
+            .first_row
+            .iter()
+            .map(|&row| RowRun::new(row, n_src))
+            .collect();
+        let syn = proj.synapses.gen();
         let mut rng = Xoshiro256::seed_from_u64(proj.seed ^ 0x005E_ED0F_5EED);
-        let mut sp = 0usize;
+        let mut dp = 0;
         for (s, d) in proj.iter(n_src, n_dst) {
-            let (w, delay) = proj.synapses.sample(&mut rng);
-            while slices[plan.src_idxs[sp]].hi <= s {
-                sp += 1;
+            let (w, delay) = syn.sample(&mut rng);
+            if d < dst_lo[dp] || d >= dst_hi[dp] {
+                dp = dst_hi.partition_point(|&hi| hi <= d);
             }
-            let src_slice = &slices[plan.src_idxs[sp]];
-            debug_assert!(src_slice.lo <= s && s < src_slice.hi);
-            let dp = plan.dst_idxs.partition_point(|&i| slices[i].hi <= d);
-            let di = plan.dst_idxs[dp];
-            let dst_slice = &slices[di];
-            let local_target = (d - dst_slice.lo) as u16;
-            let row = plan.first_rows[sp][dp] + (s - src_slice.lo);
-            pushes.push((di as u32, row, SynapticWord::new(w, delay, local_target)));
+            let local_target = (d - dst_lo[dp]) as u16;
+            runs[dp].push(s, SynapticWord::new(w, delay, local_target));
         }
-        return ProjOutput::Eager(pushes);
+        return ProjOutput::Eager(runs);
     }
 
     let conn = gen_connector(proj).expect("lazy plan implies a replayable connector");
@@ -427,56 +439,37 @@ fn expand_projection(
             // from there reproduces exactly that source's run (earlier
             // sources' successes are already behind the cursor).
             let mut lens = vec![vec![0u32; n_src as usize]; plan.dst_idxs.len()];
-            let mut conn_rng = Xoshiro256::seed_from_u64(proj.seed ^ 0x50C1_A11E);
+            let conn_rng = Xoshiro256::seed_from_u64(proj.seed ^ 0x50C1_A11E);
+            let mut gaps = GapSampler::new(conn_rng, p, n_src, n_dst, 0);
             let mut syn_rng = Xoshiro256::seed_from_u64(proj.seed ^ 0x005E_ED0F_5EED);
-            let total = if p > 0.0 {
-                n_src as u64 * n_dst as u64
-            } else {
-                0
-            };
             let mut states: Vec<GenState> = Vec::with_capacity(n_src as usize);
-            let mut cursor = 0u64;
             loop {
                 let pending = GenState {
                     syn_rng: syn_rng.state(),
-                    conn_rng: conn_rng.state(),
-                    cursor,
+                    conn_rng: gaps.rng_state(),
+                    cursor: gaps.cursor(),
                 };
-                if cursor >= total {
+                let Some((s, d)) = gaps.next() else {
                     // Sources past the last success replay to empty
                     // rows immediately.
                     let fin = GenState {
-                        cursor: total,
+                        conn_rng: gaps.rng_state(),
+                        cursor: gaps.cursor(),
                         ..pending
                     };
                     states.resize(n_src as usize, fin);
                     break;
-                }
-                let u = conn_rng.next_f64();
-                let skip = ((1.0 - u).ln() / (-p).ln_1p()).floor() as u64;
-                let idx = cursor.saturating_add(skip);
-                if idx >= total {
-                    let fin = GenState {
-                        syn_rng: syn_rng.state(),
-                        conn_rng: conn_rng.state(),
-                        cursor: total,
-                    };
-                    states.resize(n_src as usize, fin);
-                    break;
-                }
-                cursor = idx + 1;
-                let s = (idx / n_dst as u64) as usize;
-                let d = (idx % n_dst as u64) as u32;
+                };
                 // This is the first success of every source in
                 // (last assigned, s]; all of them replay from `pending`
                 // (the intermediates stop at their row end and stay
                 // empty).
-                while states.len() <= s {
+                while states.len() <= s as usize {
                     states.push(pending);
                 }
                 let _ = syn.sample(&mut syn_rng);
                 let dp = plan.dst_idxs.partition_point(|&i| slices[i].hi <= d);
-                lens[dp][s] += 1;
+                lens[dp][s as usize] += 1;
             }
             ProjOutput::Lazy {
                 states,
@@ -746,6 +739,74 @@ mod tests {
             assert_eq!(row.len(), 2);
             assert_eq!(row[0].weight_raw(), 100);
             assert_eq!(row[1].weight_raw(), -50);
+        }
+    }
+
+    /// The eager build against a plain reference: every projection in
+    /// order, expanded by `Projection::pairs`, weights drawn pair by pair
+    /// from `Synapses::sample`, each word pushed onto its (destination
+    /// core, source key) row. Every row of every image must match that
+    /// push order exactly, at every build thread count.
+    #[test]
+    fn eager_rows_match_pairs_oracle() {
+        use std::collections::BTreeMap;
+        let mut net = NetworkGraph::new();
+        let a = net.population("a", 70, kind(), 5.0);
+        let b = net.population("b", 50, kind(), 0.0);
+        let c = net.population("c", 90, kind(), 0.0);
+        let d = net.population("d", 50, kind(), 0.0);
+        let uniform = Synapses::uniform((-80, 120), (1, 9));
+        // `c` (three slices) hears `a` twice, so its rows interleave two
+        // projections, plus `b` and itself.
+        net.project(a, c, Connector::FixedProbability(0.25), uniform, 1);
+        net.project(
+            b,
+            c,
+            Connector::AllToAll { allow_self: false },
+            Synapses::constant(200, 3),
+            2,
+        );
+        net.project(a, c, Connector::FixedFanOut(9), uniform, 3);
+        net.project(c, c, Connector::FixedProbability(0.1), uniform, 4);
+        net.project(b, d, Connector::OneToOne, uniform, 5);
+        let placement = Placement::compute(&net, 4, 4, 17, 30, Placer::RoundRobin).unwrap();
+        assert_eq!(placement.slice_indices_of(c).len(), 3);
+
+        let slices = placement.slices();
+        let mut oracle: Vec<BTreeMap<u32, Vec<SynapticWord>>> = vec![BTreeMap::new(); slices.len()];
+        for proj in net.projections() {
+            let (n_src, n_dst) = (net.pop(proj.src).size, net.pop(proj.dst).size);
+            let mut rng = Xoshiro256::seed_from_u64(proj.seed ^ 0x005E_ED0F_5EED);
+            for (s, d) in proj.pairs(n_src, n_dst) {
+                let (w, delay) = proj.synapses.sample(&mut rng);
+                let src = placement.locate(proj.src, s);
+                let di = placement.locate_idx(proj.dst, d);
+                let key = neuron_key(src.global_core, s - src.lo);
+                let word = SynapticWord::new(w, delay, (d - slices[di].lo) as u16);
+                oracle[di].entry(key).or_default().push(word);
+            }
+        }
+        let expected: usize = oracle.iter().flat_map(|m| m.values()).map(Vec::len).sum();
+
+        for threads in [1, 4] {
+            let app = LoadedApp::build_with(
+                &net,
+                &placement,
+                BuildOptions {
+                    threads,
+                    lazy: LazyMode::Off,
+                },
+            );
+            assert_eq!(app.total_synapses(), expected as u64);
+            for (img, rows) in app.images.iter().zip(&oracle) {
+                for (key, row) in img.matrix.iter_rows() {
+                    let want = rows.get(&key).map_or(&[][..], Vec::as_slice);
+                    assert_eq!(img.matrix.row(row), want, "key {key:#x}, threads={threads}");
+                }
+                for key in rows.keys() {
+                    assert!(img.matrix.lookup(*key).is_some(), "key {key:#x} has no row");
+                }
+            }
         }
     }
 

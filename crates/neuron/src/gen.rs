@@ -41,6 +41,109 @@ pub enum GenConnector {
     },
 }
 
+/// The geometric-gap sampler behind every Bernoulli connector: yields
+/// the successes of independent Bernoulli(`p`) trials over the flattened
+/// `(src, dst)` index space (`idx = src * n_dst + dst`) in ascending
+/// order, one draw per success instead of one per candidate pair.
+///
+/// The one copy of the draw shared by `spinn-map`'s eager expansion, the
+/// loader's lazy counting pass and [`GenSpec::append_row`], so all three
+/// consume the connector stream identically. The denominator `ln(1 - p)`
+/// is computed once and the position is carried as `(src, dst)` next to
+/// the flattened cursor, so a draw does no division unless its gap
+/// crosses a row end.
+#[derive(Clone, Debug)]
+pub struct GapSampler {
+    rng: Xoshiro256,
+    /// `ln(1 - p)`: `ln_1p` keeps it finite and non-zero for tiny `p`
+    /// (where `(1.0 - p).ln()` rounds to 0 and would invert the
+    /// probability to 1).
+    denom: f64,
+    /// Next candidate flattened index.
+    cursor: u64,
+    /// One past the last flattened index (0 when `p <= 0`).
+    total: u64,
+    n_dst: u64,
+    /// `cursor` split as `src * n_dst + dst` (`dst` may equal `n_dst`
+    /// right after a row's last candidate).
+    src: u64,
+    dst: u64,
+}
+
+impl GapSampler {
+    /// A sampler over `n_src * n_dst` candidates resuming at flattened
+    /// index `cursor` with connector stream `rng` (`cursor` 0 and the
+    /// projection's fresh connector RNG start the stream).
+    pub fn new(rng: Xoshiro256, p: f64, n_src: u32, n_dst: u32, cursor: u64) -> Self {
+        let total = if p > 0.0 {
+            n_src as u64 * n_dst as u64
+        } else {
+            0
+        };
+        let n_dst = n_dst as u64;
+        let (src, dst) = if total == 0 {
+            (0, 0)
+        } else {
+            (cursor / n_dst, cursor % n_dst)
+        };
+        GapSampler {
+            rng,
+            denom: (-p).ln_1p(),
+            cursor,
+            total,
+            n_dst,
+            src,
+            dst,
+        }
+    }
+
+    /// The connector RNG state (the stream position a lazy row resumes
+    /// from, together with [`GapSampler::cursor`]).
+    pub fn rng_state(&self) -> [u64; 4] {
+        self.rng.state()
+    }
+
+    /// Next candidate flattened index (`n_src * n_dst` once exhausted).
+    pub fn cursor(&self) -> u64 {
+        self.cursor
+    }
+}
+
+impl Iterator for GapSampler {
+    type Item = (u32, u32);
+
+    /// The next success as `(src, dst)`. The float→int cast saturates,
+    /// so sub-2e-18 probabilities overshoot the end and terminate
+    /// rather than overflow.
+    #[inline]
+    fn next(&mut self) -> Option<(u32, u32)> {
+        if self.cursor >= self.total {
+            return None;
+        }
+        let u = self.rng.next_f64();
+        let skip = ((1.0 - u).ln() / self.denom).floor() as u64;
+        let idx = self.cursor.saturating_add(skip);
+        if idx >= self.total {
+            self.cursor = self.total;
+            return None;
+        }
+        // `dst + skip <= idx < total`: no overflow.
+        let mut dst = self.dst + skip;
+        if dst >= self.n_dst {
+            self.src += dst / self.n_dst;
+            dst %= self.n_dst;
+        }
+        self.cursor = idx + 1;
+        self.dst = dst + 1;
+        Some((self.src as u32, dst as u32))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let left = usize::try_from(self.total.saturating_sub(self.cursor)).unwrap_or(usize::MAX);
+        (0, Some(left))
+    }
+}
+
 /// Weight/delay distribution of a projection — the neuron-side mirror
 /// of `spinn_map::Synapses`, which delegates its draws here so the
 /// build-time and replay-time streams share one implementation.
@@ -200,27 +303,15 @@ impl GenSpec {
             }
             GenConnector::Bernoulli { p } => {
                 let st = state.expect("Bernoulli rows need a captured GenState");
-                let mut conn = Xoshiro256::from_state(st.conn_rng);
+                let conn = Xoshiro256::from_state(st.conn_rng);
                 let mut syn = Xoshiro256::from_state(st.syn_rng);
-                let mut cursor = st.cursor;
-                let total = if p > 0.0 {
-                    self.n_src as u64 * self.n_dst as u64
-                } else {
-                    0
-                };
-                let row_end = (s as u64 + 1) * self.n_dst as u64;
-                loop {
-                    if cursor >= total || cursor >= row_end {
+                // The run of source `s` ends at the first success past
+                // its row (the state of a source without successes
+                // points straight past it).
+                for (src, dst) in GapSampler::new(conn, p, self.n_src, self.n_dst, st.cursor) {
+                    if src != s {
                         return;
                     }
-                    let u = conn.next_f64();
-                    let skip = ((1.0 - u).ln() / (-p).ln_1p()).floor() as u64;
-                    let idx = cursor.saturating_add(skip);
-                    if idx >= total || idx >= row_end {
-                        return;
-                    }
-                    cursor = idx + 1;
-                    let dst = (idx % self.n_dst as u64) as u32;
                     let (w, d) = self.syn.sample(&mut syn);
                     if window.contains(&dst) {
                         out.push(SynapticWord::new(w, d, (dst - self.dst_lo) as u16));
@@ -252,6 +343,46 @@ mod tests {
             delay_min_ms: 2,
             delay_max_ms: 2,
         }
+    }
+
+    /// The sampler's incremental `(src, dst)` split against the plain
+    /// flattened-index formula, for gaps inside a row and gaps spanning
+    /// many rows, started fresh and resumed mid-stream.
+    #[test]
+    fn gap_sampler_matches_flattened_formula() {
+        for p in [0.5f64, 0.02, 0.001] {
+            let (n_src, n_dst) = (400u32, 7u32);
+            let mut rng = Xoshiro256::seed_from_u64(3);
+            let (total, denom) = (n_src as u64 * n_dst as u64, (-p).ln_1p());
+            let mut want = Vec::new();
+            let mut cursor = 0u64;
+            while cursor < total {
+                let skip = ((1.0 - rng.next_f64()).ln() / denom).floor() as u64;
+                let idx = cursor.saturating_add(skip);
+                if idx >= total {
+                    break;
+                }
+                want.push(((idx / n_dst as u64) as u32, (idx % n_dst as u64) as u32));
+                cursor = idx + 1;
+            }
+            let mut gaps = GapSampler::new(Xoshiro256::seed_from_u64(3), p, n_src, n_dst, 0);
+            let mut states = Vec::new();
+            let mut got = Vec::new();
+            loop {
+                states.push((gaps.rng_state(), gaps.cursor()));
+                let Some((s, d)) = gaps.next() else { break };
+                got.push((s, d));
+            }
+            assert_eq!(got, want, "p={p}");
+            assert_eq!(gaps.cursor(), total);
+            // Resuming from any captured position replays the tail.
+            let mid = states.len() / 2;
+            let (rng_state, at) = states[mid];
+            let resumed = GapSampler::new(Xoshiro256::from_state(rng_state), p, n_src, n_dst, at);
+            assert_eq!(resumed.collect::<Vec<_>>(), want[mid..], "p={p}");
+        }
+        let empty = GapSampler::new(Xoshiro256::seed_from_u64(1), 0.0, 10, 10, 0);
+        assert_eq!(empty.count(), 0);
     }
 
     #[test]

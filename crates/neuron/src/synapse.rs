@@ -42,6 +42,7 @@ impl SynapticWord {
     /// # Panics
     ///
     /// Panics if `delay_ms` is outside `1..=16` or `target > 0xFFF`.
+    #[inline]
     pub fn new(weight_raw: i16, delay_ms: u8, target: u16) -> Self {
         assert!(
             (1..=MAX_DELAY_MS).contains(&delay_ms),

@@ -27,10 +27,11 @@
 //! through [`SynapticMatrix::row_mut`], exactly like the hardware's
 //! DMA write-back of a modified row.
 //!
-//! [`SynapticMatrixBuilder`] assembles a matrix from a *stream* of
-//! `(row, word)` pairs in any order (the loader expands projections one
-//! at a time and never materializes a global edge list), then packs the
-//! arena with a stable counting sort in `finish`.
+//! [`SynapticMatrixBuilder`] assembles a matrix from [`RowRun`]s: each
+//! projection expands once, straight into one run of row-ascending words
+//! per destination core (no global edge list, no per-synapse staging),
+//! and `finish` places whole rows into the arena, runs in the order they
+//! were added.
 
 use crate::gen::{GenSpec, GenState};
 use crate::synapse::SynapticWord;
@@ -112,12 +113,14 @@ struct RowRef {
 ///
 /// ```
 /// use spinn_neuron::synapse::SynapticWord;
-/// use spinn_neuron::synmatrix::SynapticMatrixBuilder;
+/// use spinn_neuron::synmatrix::{RowRun, SynapticMatrixBuilder};
 ///
 /// let mut b = SynapticMatrixBuilder::new();
 /// // A 4-neuron source block whose keys are 0x1000..0x1004.
 /// let first = b.block(0x1000, !0xFFF, 4);
-/// b.push(first + 2, SynapticWord::new(300, 1, 7));
+/// let mut run = RowRun::new(first, 4);
+/// run.push(2, SynapticWord::new(300, 1, 7));
+/// b.add_run(run);
 /// let m = b.finish();
 /// let row = m.lookup(0x1002).unwrap();
 /// assert_eq!(m.row(row)[0].target(), 7);
@@ -470,15 +473,56 @@ impl SynapticMatrix {
     }
 }
 
-/// Assembles a [`SynapticMatrix`] from a stream of `(row, word)`
-/// pushes: declare the source blocks up front, stage synapses in any
-/// order, and `finish` packs them into the contiguous arena with a
-/// stable counting sort (insertion order is preserved within each row).
+/// One projection's eager synapses on one core: rows `first_row ..
+/// first_row + n_rows`, each holding its share of `words` in order.
+/// Words are appended row by row in ascending row order (the order a
+/// projection's pairs stream in), so a row's words are one contiguous
+/// slice of the run and the arena can take them whole.
+#[derive(Clone, Debug)]
+pub struct RowRun {
+    first_row: u32,
+    lens: Vec<u32>,
+    words: Vec<SynapticWord>,
+    /// The run's row the last word went to (rows never go back).
+    last: u32,
+}
+
+impl RowRun {
+    /// An empty run over `n_rows` rows starting at `first_row`.
+    pub fn new(first_row: u32, n_rows: u32) -> Self {
+        RowRun {
+            first_row,
+            lens: vec![0; n_rows as usize],
+            words: Vec::new(),
+            last: 0,
+        }
+    }
+
+    /// Appends `word` to the run's row `i` (builder row `first_row +
+    /// i`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is outside the run or below a row already
+    /// appended to.
+    #[inline]
+    pub fn push(&mut self, i: u32, word: SynapticWord) {
+        assert!(i >= self.last, "row {i} appended after row {}", self.last);
+        self.last = i;
+        self.lens[i as usize] += 1;
+        self.words.push(word);
+    }
+}
+
+/// Assembles a [`SynapticMatrix`]: declare the source blocks up front,
+/// add eager [`RowRun`]s (or lazy recipes), and `finish` packs the
+/// arena. Rows that several runs contribute to hold the runs' words in
+/// the order the runs were added.
 #[derive(Clone, Debug, Default)]
 pub struct SynapticMatrixBuilder {
     entries: Vec<MptEntry>,
     n_rows: u32,
-    staged: Vec<(u32, SynapticWord)>,
+    runs: Vec<RowRun>,
     lazy_contribs: Vec<Contribution>,
     lazy_lens: Vec<(u32, u32)>,
 }
@@ -540,26 +584,24 @@ impl SynapticMatrixBuilder {
         first_row
     }
 
-    /// Stages one synapse into row `row` (a block's `first_row` plus
-    /// the source neuron's index within the block).
-    #[inline]
-    pub fn push(&mut self, row: u32, word: SynapticWord) {
-        debug_assert!(row < self.n_rows, "row {row} outside declared blocks");
-        self.staged.push((row, word));
-    }
-
-    /// Synapses staged so far.
-    pub fn staged_len(&self) -> usize {
-        self.staged.len()
+    /// Adds one run of eager synapses.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the run's rows reach past the declared blocks.
+    pub fn add_run(&mut self, run: RowRun) {
+        assert!(
+            run.first_row as usize + run.lens.len() <= self.n_rows as usize,
+            "run outside declared blocks"
+        );
+        self.runs.push(run);
     }
 
     /// Registers a generator recipe covering `n_rows` rows starting at
     /// `first_row` (sources `src_lo..`), returning its handle for
     /// [`SynapticMatrixBuilder::lazy_state`]. A builder is either fully
-    /// lazy or fully eager: mixing recipes and [`push`]ed words on one
-    /// core is rejected in `finish` (the loader decides per core).
-    ///
-    /// [`push`]: SynapticMatrixBuilder::push
+    /// lazy or fully eager: mixing recipes and [`RowRun`]s on one core
+    /// is rejected in `finish` (the loader decides per core).
     pub fn lazy_contribution(
         &mut self,
         first_row: u32,
@@ -605,15 +647,17 @@ impl SynapticMatrixBuilder {
         !self.lazy_contribs.is_empty()
     }
 
-    /// Packs the staged synapses into the contiguous arena. Stable: the
-    /// words of each row keep their push order. A lazy builder instead
-    /// records row lengths and keeps the recipes — rows materialize on
-    /// first DMA touch.
+    /// Packs the runs into the contiguous arena: count every row's
+    /// length across the runs, lay the rows out in row order, then copy
+    /// each run's row slices into place, runs in the order they were
+    /// added (so a row's words keep their run order). A lazy builder
+    /// instead records row lengths and keeps the recipes — rows
+    /// materialize on first DMA touch.
     pub fn finish(self) -> SynapticMatrix {
         let n = self.n_rows as usize;
         if !self.lazy_contribs.is_empty() {
             assert!(
-                self.staged.is_empty(),
+                self.runs.is_empty(),
                 "a core's builder cannot mix lazy recipes with eager words"
             );
             for c in &self.lazy_contribs {
@@ -642,22 +686,27 @@ impl SynapticMatrixBuilder {
                 })),
             };
         }
-        let mut counts = vec![0u32; n];
-        for &(row, _) in &self.staged {
-            counts[row as usize] += 1;
+        let mut rows = vec![RowRef::default(); n];
+        for run in &self.runs {
+            for (r, &len) in rows[run.first_row as usize..].iter_mut().zip(&run.lens) {
+                r.len += len;
+            }
         }
-        let mut rows = Vec::with_capacity(n);
         let mut offset = 0u32;
-        for &len in &counts {
-            rows.push(RowRef { offset, len });
-            offset += len;
+        for r in &mut rows {
+            r.offset = offset;
+            offset += r.len;
         }
-        let mut words = vec![SynapticWord::from_bits(0); self.staged.len()];
+        let mut words = vec![SynapticWord::from_bits(0); offset as usize];
         let mut cursor: Vec<u32> = rows.iter().map(|r| r.offset).collect();
-        for (row, word) in self.staged {
-            let c = &mut cursor[row as usize];
-            words[*c as usize] = word;
-            *c += 1;
+        for run in self.runs {
+            let mut from = 0usize;
+            for (c, &len) in cursor[run.first_row as usize..].iter_mut().zip(&run.lens) {
+                let (at, len) = (*c as usize, len as usize);
+                words[at..at + len].copy_from_slice(&run.words[from..from + len]);
+                *c += len as u32;
+                from += len;
+            }
         }
         SynapticMatrix {
             entries: self.entries,
@@ -682,13 +731,16 @@ mod tests {
         let mut b = SynapticMatrixBuilder::new();
         let blk_a = b.block(0x1000, !0xFFF, 3);
         let blk_b = b.block(0x4000, !0xFFF, 2);
-        // Interleaved pushes across blocks; order within a row must
-        // survive the counting sort.
-        b.push(blk_b, w(9, 0));
-        b.push(blk_a + 1, w(1, 1));
-        b.push(blk_a + 1, w(2, 2));
-        b.push(blk_b, w(8, 3));
-        b.push(blk_a, w(7, 4));
+        // Runs may arrive in any block order.
+        let mut run = RowRun::new(blk_b, 2);
+        run.push(0, w(9, 0));
+        run.push(0, w(8, 3));
+        b.add_run(run);
+        let mut run = RowRun::new(blk_a, 3);
+        run.push(0, w(7, 4));
+        run.push(1, w(1, 1));
+        run.push(1, w(2, 2));
+        b.add_run(run);
         let m = b.finish();
         assert_eq!(m.n_rows(), 5);
         assert_eq!(m.total_synapses(), 5);
@@ -710,6 +762,47 @@ mod tests {
         assert_eq!(m.lookup(0x1003), None);
         assert_eq!(m.lookup(0x2000), None);
         assert_eq!(m.lookup(0x0FFF), None);
+    }
+
+    /// Two runs over overlapping rows (two projections from one source
+    /// population into one core) interleave per row: each row holds the
+    /// first run's words, then the second's, whatever the row lengths.
+    #[test]
+    fn interleaved_contributions_keep_in_row_order() {
+        let mut b = SynapticMatrixBuilder::new();
+        let blk = b.block(0x1000, !0xFFF, 4);
+        let mut first = RowRun::new(blk, 4);
+        first.push(0, w(1, 0));
+        first.push(2, w(2, 0));
+        first.push(2, w(3, 1));
+        let mut second = RowRun::new(blk + 1, 3);
+        second.push(1, w(4, 2)); // row 2
+        second.push(2, w(5, 0)); // row 3
+        second.push(2, w(6, 1));
+        let empty = RowRun::new(blk, 4);
+        b.add_run(first);
+        b.add_run(empty);
+        b.add_run(second);
+        let m = b.finish();
+        let weights = |row: u32| {
+            m.row(row)
+                .iter()
+                .map(|x| x.weight_raw())
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(weights(blk), vec![1]);
+        assert!(weights(blk + 1).is_empty());
+        assert_eq!(weights(blk + 2), vec![2, 3, 4]);
+        assert_eq!(weights(blk + 3), vec![5, 6]);
+        assert_eq!(m.total_synapses(), 6);
+    }
+
+    #[test]
+    #[should_panic(expected = "appended after row")]
+    fn run_rows_never_go_back() {
+        let mut run = RowRun::new(0, 4);
+        run.push(2, w(1, 0));
+        run.push(1, w(2, 0));
     }
 
     #[test]
@@ -750,9 +843,11 @@ mod tests {
     fn sdram_accounting_matches_row_shapes() {
         let mut b = SynapticMatrixBuilder::new();
         let blk = b.block(0, !0xFFF, 2);
+        let mut run = RowRun::new(blk, 2);
         for i in 0..10 {
-            b.push(blk, w(i, i as u16));
+            run.push(0, w(i, i as u16));
         }
+        b.add_run(run);
         let m = b.finish();
         // Row 0: 4 + 40; row 1 empty: 4.
         assert_eq!(m.sdram_bytes(), 48);
@@ -786,8 +881,10 @@ mod tests {
     fn insert_row_grows_covering_block() {
         let mut b = SynapticMatrixBuilder::new();
         let blk = b.block(0x1000, !0xFFF, 2);
-        b.push(blk, w(1, 0));
-        b.push(blk + 1, w(2, 0));
+        let mut run = RowRun::new(blk, 2);
+        run.push(0, w(1, 0));
+        run.push(1, w(2, 0));
+        b.add_run(run);
         let mut m = b.finish();
         m.insert_row(0x2000, &[w(9, 9)]);
         // Key inside the block but beyond its declared rows: the block
@@ -879,14 +976,16 @@ mod tests {
     #[test]
     fn lazy_matrix_matches_eager_equivalent() {
         let mut lazy = lazy_a2a_builder(16, (0, 16)).finish();
-        // The eager twin: same block, words pushed as the stream would.
+        // The eager twin: same block, words in the stream's order.
         let mut b = SynapticMatrixBuilder::new();
         let first = b.block(0x1000, !0xFFF, 16);
+        let mut run = RowRun::new(first, 16);
         for row in 0..16 {
             for d in 0u32..16 {
-                b.push(first + row, SynapticWord::new(320, 2, d as u16));
+                run.push(row, SynapticWord::new(320, 2, d as u16));
             }
         }
+        b.add_run(run);
         let eager = b.finish();
         assert!(
             lazy.resident_bytes() < eager.resident_bytes(),
